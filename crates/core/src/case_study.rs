@@ -392,9 +392,10 @@ pub fn attribute_displacements(
         if let Some(r) = d.restarted_at {
             downtime_sums[idx] += r.since(d.at).as_secs_f64();
         }
-        let last_ckpt = stats.last_checkpoint.get(&d.job).copied();
+        // Work since the checkpoint the displacement rolls back to; the
+        // job's latest checkpoint overall may postdate the displacement.
         let started = stats.first_event(d.job, |e| matches!(e, JobEvent::Started { .. }));
-        let anchor = last_ckpt.or(started);
+        let anchor = d.last_checkpoint_at.or(started);
         if let Some(a) = anchor {
             lost_sums[idx] += d.at.since(a).as_secs_f64();
         }
@@ -503,6 +504,7 @@ mod tests {
             job: JobId(1),
             at: t(3_010),
             restore_seq: Some(4),
+            last_checkpoint_at: None,
             restarted_at: Some(t(3_400)),
             migrated_back: false,
         });
@@ -512,6 +514,7 @@ mod tests {
             job: JobId(2),
             at: t(9_510),
             restore_seq: Some(9),
+            last_checkpoint_at: None,
             restarted_at: None,
             migrated_back: false,
         });
@@ -555,6 +558,7 @@ mod tests {
             job: JobId(1),
             at: t(3_010),
             restore_seq: None,
+            last_checkpoint_at: None,
             restarted_at: Some(t(3_500)),
             migrated_back: false,
         });
@@ -563,6 +567,7 @@ mod tests {
             job: JobId(2),
             at: t(3_020),
             restore_seq: Some(3),
+            last_checkpoint_at: None,
             restarted_at: Some(t(3_600)),
             migrated_back: false,
         });
@@ -571,6 +576,7 @@ mod tests {
             job: JobId(3),
             at: t(3_030),
             restore_seq: Some(1),
+            last_checkpoint_at: None,
             restarted_at: None,
             migrated_back: false,
         });
@@ -585,6 +591,63 @@ mod tests {
         assert_eq!(emergency.restored, 1);
         assert_eq!(emergency.restarted, 1);
         assert_eq!(emergency.resumed(), 2, "resumed = restored + restarted");
+    }
+
+    /// Regression for lost-work scoring: a displaced job that resumes and
+    /// checkpoints again must still score the work its earlier
+    /// displacement rolled back — measured from the checkpoint it restored,
+    /// not from the job's latest checkpoint, which postdates the
+    /// displacement and used to saturate the score to 0.
+    #[test]
+    fn lost_work_anchors_on_checkpoint_before_displacement() {
+        use crate::platform::PlatformStats;
+        use crate::scenario::InjectedInterruption;
+        use gpunion_protocol::{JobId, NodeUid};
+        use gpunion_simnet::NodeId;
+
+        let t = |s: u64| SimTime::from_secs(s);
+        let interval = 600;
+        let job = JobId(1);
+        let injected = vec![InjectedInterruption {
+            at: t(3_000),
+            host: NodeId(0),
+            kind: InterruptionKind::EmergencyDeparture,
+            returns_at: t(4_000),
+        }];
+        let mut stats = PlatformStats::default();
+        let checkpoint = |stats: &mut PlatformStats, at: u64| {
+            stats.last_checkpoint.insert(job, t(at));
+        };
+        stats.log(t(1_000), job, JobEvent::Started { node: NodeUid(1) });
+        for at in [1_600, 2_200, 2_800] {
+            checkpoint(&mut stats, at);
+        }
+        stats.log(
+            t(3_010),
+            job,
+            JobEvent::Requeued {
+                restore_seq: Some(3),
+            },
+        );
+        stats.log(t(3_400), job, JobEvent::Started { node: NodeUid(2) });
+        for at in [4_000, 4_600] {
+            checkpoint(&mut stats, at);
+        }
+        let [_, emergency, _] = attribute_displacements(
+            &injected,
+            &stats,
+            t(100_000),
+            SimDuration::from_mins(10),
+            SimDuration::from_mins(30),
+        );
+        assert_eq!(emergency.displacements, 1);
+        assert_eq!(emergency.restored, 1);
+        let lost = emergency.mean_lost_secs;
+        assert!(
+            lost > 0.0 && lost <= interval as f64,
+            "lost {lost} s, want (0, {interval}]"
+        );
+        assert_eq!(lost, 210.0, "displaced at 3010 s, last checkpoint 2800 s");
     }
 
     #[test]

@@ -155,6 +155,10 @@ pub struct Displacement {
     pub at: SimTime,
     /// Checkpoint sequence it restores from (None = lost all work).
     pub restore_seq: Option<u64>,
+    /// When its latest durable checkpoint before the displacement landed
+    /// (None = no checkpoint yet). Stamped at requeue time, so checkpoints
+    /// the job takes after it resumes cannot move it.
+    pub last_checkpoint_at: Option<SimTime>,
     /// When it started running again (None = never within horizon).
     pub restarted_at: Option<SimTime>,
     /// Whether it restarted on its original (returning) node.
@@ -178,12 +182,13 @@ pub struct PlatformStats {
     pub jobs_completed: u64,
     /// All displacements (kill-switch, departures, heartbeat loss).
     pub displacements: Vec<Displacement>,
-    /// Last durable checkpoint time per job (lost-work accounting).
+    /// Latest durable checkpoint time per job; each displacement stamps
+    /// its value at requeue time for lost-work accounting.
     pub last_checkpoint: HashMap<JobId, SimTime>,
 }
 
 impl PlatformStats {
-    fn log(&mut self, now: SimTime, job: JobId, event: JobEvent) {
+    pub(crate) fn log(&mut self, now: SimTime, job: JobId, event: JobEvent) {
         self.job_log.entry(job).or_default().push((now, event));
         match event {
             JobEvent::Completed => self.jobs_completed += 1,
@@ -191,6 +196,7 @@ impl PlatformStats {
                 job,
                 at: now,
                 restore_seq,
+                last_checkpoint_at: self.last_checkpoint.get(&job).copied(),
                 restarted_at: None,
                 migrated_back: false,
             }),

@@ -162,7 +162,7 @@ impl<M> Network<M> {
         }
         let path = self.topo.route(from, to).ok_or(NetError::Unreachable)?;
         let mut at = now;
-        for ch in &path {
+        for ch in path.iter() {
             at += self.topo.link_latency(ch.link);
             at += SimDuration::from_secs_f64(
                 self.topo
@@ -205,7 +205,10 @@ impl<M> Network<M> {
         let path = if from == to {
             Vec::new()
         } else {
-            self.topo.route(from, to).ok_or(NetError::Unreachable)?
+            self.topo
+                .route(from, to)
+                .ok_or(NetError::Unreachable)?
+                .to_vec()
         };
         // Integrate existing flows to `now` before the rate change.
         let _ = self.flows.advance(now, &mut self.accounting);

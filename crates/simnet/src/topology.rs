@@ -10,6 +10,7 @@ use crate::bandwidth::Bandwidth;
 use gpunion_des::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// A network endpoint (server, workstation, switch, or the coordinator).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,7 +53,7 @@ pub struct Topology {
     nodes: Vec<NodeInfo>,
     links: Vec<LinkInfo>,
     adjacency: Vec<Vec<(NodeId, LinkId)>>,
-    route_cache: HashMap<(NodeId, NodeId), Option<Vec<Channel>>>,
+    route_cache: HashMap<(NodeId, NodeId), Option<Arc<[Channel]>>>,
 }
 
 /// Incremental builder for [`Topology`].
@@ -183,10 +184,10 @@ impl Topology {
 
     /// Shortest path (fewest hops) from `src` to `dst` as directed channels,
     /// skipping down nodes and links. `None` when unreachable. Cached until
-    /// the next topology change.
-    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Vec<Channel>> {
+    /// the next topology change; a cache hit does not allocate.
+    pub fn route(&mut self, src: NodeId, dst: NodeId) -> Option<Arc<[Channel]>> {
         if src == dst {
-            return Some(Vec::new());
+            return Some(Arc::from([]));
         }
         if let Some(cached) = self.route_cache.get(&(src, dst)) {
             return cached.clone();
@@ -196,7 +197,7 @@ impl Topology {
         computed
     }
 
-    fn bfs(&self, src: NodeId, dst: NodeId) -> Option<Vec<Channel>> {
+    fn bfs(&self, src: NodeId, dst: NodeId) -> Option<Arc<[Channel]>> {
         if !self.node_up(src) || !self.node_up(dst) {
             return None;
         }
@@ -234,7 +235,7 @@ impl Topology {
             cur = p;
         }
         path.reverse();
-        Some(path)
+        Some(path.into())
     }
 
     /// Sum of propagation latencies along a path.
@@ -311,7 +312,7 @@ mod tests {
     #[test]
     fn route_to_self_is_empty() {
         let (mut t, a, ..) = line3();
-        assert_eq!(t.route(a, a), Some(vec![]));
+        assert_eq!(t.route(a, a).as_deref(), Some(&[][..]));
     }
 
     #[test]
