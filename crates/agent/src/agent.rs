@@ -22,9 +22,10 @@ use gpunion_protocol::{
     Message, NodeUid, Work, WorkloadState, WorkloadStatus,
 };
 use gpunion_storage::CheckpointCostModel;
-use gpunion_telemetry::{labels, Registry};
+use gpunion_telemetry::{labels, Counter, Registry};
 use gpunion_workload::TrainingRun;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Where a bulk transfer goes / comes from, as the agent sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +160,9 @@ pub struct Agent {
     timers: BTreeMap<(SimTime, u64), Timer>,
     timer_seq: u64,
     metrics: Registry,
+    /// `agent_heartbeats_total`, looked up in `metrics` on the first beat
+    /// and kept, so a beat costs one atomic add instead of a registry probe.
+    heartbeats_total: Option<Arc<Counter>>,
     /// Set while a graceful departure is draining.
     departure_deadline: Option<SimTime>,
     /// Verifications that fired from a timer and await the image registry
@@ -187,6 +191,7 @@ impl Agent {
             timers: BTreeMap::new(),
             timer_seq: 0,
             metrics: Registry::new(),
+            heartbeats_total: None,
             departure_deadline: None,
             pending_verifications: Vec::new(),
             rest_bucket,
@@ -274,17 +279,16 @@ impl Agent {
         self.timers.keys().next().map(|(t, _)| *t)
     }
 
-    /// Fire all timers due at or before `now`.
-    pub fn on_wake(&mut self, now: SimTime) -> Vec<Action> {
-        let mut actions = Vec::new();
+    /// Fire all timers due at or before `now`, appending their actions to
+    /// `actions` (a buffer the caller owns and reuses).
+    pub fn on_wake(&mut self, now: SimTime, actions: &mut Vec<Action>) {
         while let Some((&(at, seq), _)) = self.timers.first_key_value() {
             if at > now {
                 break;
             }
             let timer = self.timers.remove(&(at, seq)).expect("just observed");
-            self.fire(now, timer, &mut actions);
+            self.fire(now, timer, actions);
         }
-        actions
     }
 
     fn fire(&mut self, now: SimTime, timer: Timer, actions: &mut Vec<Action>) {
@@ -342,11 +346,17 @@ impl Agent {
             .map(Into::into)
             .collect();
         let workloads = self.workload_statuses(now);
-        if let Ok(c) = self.metrics.counter(
-            "agent_heartbeats_total",
-            "heartbeats sent",
-            labels([("node", self.config.hostname.as_str())]),
-        ) {
+        if self.heartbeats_total.is_none() {
+            self.heartbeats_total = self
+                .metrics
+                .counter(
+                    "agent_heartbeats_total",
+                    "heartbeats sent",
+                    labels([("node", self.config.hostname.as_str())]),
+                )
+                .ok();
+        }
+        if let Some(c) = &self.heartbeats_total {
             c.inc();
         }
         Control::Heartbeat {

@@ -104,7 +104,7 @@ mod tests {
             if at > until {
                 break;
             }
-            all.extend(agent.on_wake(at));
+            agent.on_wake(at, &mut all);
             all.extend(agent.complete_verifications(at, registry));
         }
         all
@@ -367,18 +367,32 @@ mod tests {
 
     #[test]
     fn rest_status_and_metrics() {
-        let (mut agent, _, _) = registered_agent();
+        let (mut agent, registry, _) = registered_agent();
         let (resp, _) = rest::handle(&mut agent, t(10), &HttpRequest::new(Method::Get, "/status"));
         assert_eq!(resp.status, 200);
         let body = String::from_utf8(resp.body).unwrap();
         assert!(body.contains("\"phase\":\"Active\""), "{body}");
+        // The ack's immediate beat plus the periodic ones at 6, 11, …, 51:
+        // the exported counter must count every beat, not merely exist.
+        let actions = drive(&mut agent, &registry, t(51));
+        let sent = 1 + actions
+            .iter()
+            .filter(|a| matches!(a, Action::Send(Message::Control(Control::Heartbeat { .. }))))
+            .count();
+        assert_eq!(sent, 11);
         let (resp, _) = rest::handle(
             &mut agent,
-            t(10),
+            t(52),
             &HttpRequest::new(Method::Get, "/metrics"),
         );
         let body = String::from_utf8(resp.body).unwrap();
-        assert!(body.contains("agent_heartbeats_total"), "{body}");
+        let samples = gpunion_telemetry::parse(&body).expect("exposition parses");
+        let beats: Vec<f64> = samples
+            .iter()
+            .filter(|s| s.name == "agent_heartbeats_total")
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(beats, vec![sent as f64], "{body}");
     }
 
     #[test]

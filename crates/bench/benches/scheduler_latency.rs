@@ -31,7 +31,11 @@ fn bench(c: &mut Criterion) {
                 || loaded_coordinator(n, PENDING_JOBS),
                 // One actor turn: apply the pending-queue writes, then the
                 // batched pass (the only mutation path the actor exposes).
-                |coord| coord.advance(SimTime::from_secs(3700)),
+                |coord| {
+                    let mut actions = Vec::new();
+                    coord.advance(SimTime::from_secs(3700), &mut actions);
+                    actions
+                },
                 criterion::BatchSize::SmallInput,
             );
         });
@@ -54,7 +58,11 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(id, &(n, shards), |b, &(n, shards)| {
             b.iter_batched_ref(
                 || loaded_coordinator_sharded(n, PENDING_JOBS, shards),
-                |coord| coord.advance(SimTime::from_secs(3700)),
+                |coord| {
+                    let mut actions = Vec::new();
+                    coord.advance(SimTime::from_secs(3700), &mut actions);
+                    actions
+                },
                 criterion::BatchSize::SmallInput,
             );
         });

@@ -112,8 +112,9 @@ fn pass_ns(n: usize, shards: usize, iters: usize) -> PassStats {
     let samples: Vec<u64> = (0..iters)
         .map(|_| {
             let mut coord = loaded_coordinator_sharded(n, PASS_JOBS, shards);
+            let mut actions = Vec::new();
             let t0 = Instant::now();
-            let actions = coord.advance(SimTime::from_secs(3700));
+            coord.advance(SimTime::from_secs(3700), &mut actions);
             let dt = t0.elapsed().as_nanos() as u64;
             assert!(!actions.is_empty(), "pass placed nothing at {n} nodes");
             dt
@@ -358,7 +359,7 @@ fn main() {
          \"db_write_latency_ms_400\": {:.3},\n  \"db_queue_depth_peak_400\": {},\n  \
          \"inbox_sojourn_ms_sat500\": {:.6},\n  \"deferred_turns_sat500\": {},\n  \
          \"semester_events_400\": {},\n  \"semester_wall_ms_400\": {:.3},\n  \
-         \"semester_wall_ms_400_w0\": {:.3},\n  \"semester_wall_ms_400_w4\": {:.3},\n  \
+         \"pump_storm_wall_ms_400_w0\": {:.3},\n  \"pump_storm_wall_ms_400_w4\": {:.3},\n  \
          \"pump_checksum_400\": {}\n}}\n",
         p400.median_ns,
         p10k.median_ns,
@@ -413,8 +414,8 @@ fn main() {
         ("wire_size_ns", codec.wire_size.median_ns as f64),
         ("encode_ns_pooled", codec.encode_pooled.median_ns as f64),
         ("semester_wall_ms_400", sem.wall_ms),
-        ("semester_wall_ms_400_w0", pump_w0_ms),
-        ("semester_wall_ms_400_w4", pump_w4_ms),
+        ("pump_storm_wall_ms_400_w0", pump_w0_ms),
+        ("pump_storm_wall_ms_400_w4", pump_w4_ms),
     ] {
         let Some(base) = json_f64(&baseline, key) else {
             eprintln!("bench_gate: baseline missing {key}; failing");

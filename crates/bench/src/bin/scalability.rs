@@ -42,7 +42,8 @@ fn main() {
         // Emergent end-to-end latency of one 100-job scheduling pass,
         // driven the only way the actor allows: its turn at t = 3700 s.
         let mut coord = loaded_coordinator(n, 100);
-        let actions = coord.advance(SimTime::from_secs(3700));
+        let mut actions = Vec::new();
+        coord.advance(SimTime::from_secs(3700), &mut actions);
         let last_delay = actions
             .iter()
             .filter_map(|a| match a {

@@ -167,11 +167,13 @@ pub fn contention_knee_run(nodes: usize, seed: u64) -> ContentionRow {
 }
 
 fn drain_wakes(coord: &mut Coordinator, until: SimTime) {
+    let mut actions = Vec::new();
     while let Some(at) = coord.next_wake() {
         if at > until {
             break;
         }
-        let _ = coord.advance(at);
+        coord.advance(at, &mut actions);
+        actions.clear();
     }
 }
 
@@ -207,7 +209,7 @@ fn drive_phased_fleet(
             // the reset turn orders before the first measured heartbeat.
             drain_wakes(coord, beat_start);
             coord.send(beat_start, CoordEnvelope::ResetTelemetry);
-            coord.advance(beat_start);
+            coord.advance(beat_start, &mut Vec::new());
         }
         at_beat(coord, k, beat_start);
         for (i, seq) in seqs.iter_mut().enumerate() {
@@ -224,7 +226,8 @@ fn drive_phased_fleet(
                         agent_version: 1,
                     }))),
                 );
-                let actions = coord.advance(at);
+                let mut actions = Vec::new();
+                coord.advance(at, &mut actions);
                 uids[i] = actions
                     .iter()
                     .find_map(|a| match a {
@@ -246,7 +249,7 @@ fn drive_phased_fleet(
                         workloads: vec![],
                     }))),
                 );
-                coord.advance(at);
+                coord.advance(at, &mut Vec::new());
                 *seq += 1;
             }
         }
@@ -356,7 +359,7 @@ pub fn loaded_coordinator_with(
     }
     // Process the submission turns (this arms the pass one emergent write
     // latency later); the pass itself belongs to the caller's timed turn.
-    c.advance(SimTime::from_secs(3601));
+    c.advance(SimTime::from_secs(3601), &mut Vec::new());
     c
 }
 
@@ -412,7 +415,7 @@ pub fn saturation_run(nodes: usize, seed: u64) -> SaturationRow {
             };
             submissions.push(job);
         }
-        coord.advance(beat_start);
+        coord.advance(beat_start, &mut Vec::new());
     });
     // Let every deferred turn retry and every write complete.
     drain_wakes(
@@ -482,7 +485,8 @@ impl PassStats {
 pub fn warm_actor_pass_ns(nodes: usize, shards: usize, rounds: usize) -> PassStats {
     let mut coord = loaded_coordinator_sharded(nodes, PASS_JOBS, shards);
     // Warm turn: drains the first pass untimed (grows every buffer).
-    let _ = coord.advance(SimTime::from_secs(3700));
+    let mut actions = Vec::new();
+    coord.advance(SimTime::from_secs(3700), &mut actions);
     let samples = (0..rounds.max(1) as u64)
         .map(|k| {
             let base = 3800 + k * 100;
@@ -499,9 +503,11 @@ pub fn warm_actor_pass_ns(nodes: usize, shards: usize, rounds: usize) -> PassSta
                 })
                 .collect();
             // Admit turns (arms the pass one emergent write latency in).
-            let _ = coord.advance(SimTime::from_secs(base));
+            actions.clear();
+            coord.advance(SimTime::from_secs(base), &mut actions);
+            actions.clear();
             let t0 = Instant::now();
-            let actions = coord.advance(SimTime::from_secs(base + 5));
+            coord.advance(SimTime::from_secs(base + 5), &mut actions);
             let dt = t0.elapsed().as_nanos() as u64;
             assert!(!actions.is_empty(), "warm pass placed nothing");
             // Tear the round down: cancel every offer before it times
@@ -509,13 +515,9 @@ pub fn warm_actor_pass_ns(nodes: usize, shards: usize, rounds: usize) -> PassSta
             for job in jobs {
                 coord.send(SimTime::from_secs(base + 6), CoordEnvelope::CancelJob(job));
             }
-            let _ = coord.advance(SimTime::from_secs(base + 6));
-            while let Some(at) = coord.next_wake() {
-                if at > SimTime::from_secs(base + 99) {
-                    break;
-                }
-                let _ = coord.advance(at);
-            }
+            actions.clear();
+            coord.advance(SimTime::from_secs(base + 6), &mut actions);
+            drain_wakes(&mut coord, SimTime::from_secs(base + 99));
             dt
         })
         .collect();
@@ -608,8 +610,9 @@ pub fn scale_pass_rows(fleets: &[(usize, usize)], jobs: usize, iters: usize) -> 
         let mut samples: Vec<u64> = (0..iters.max(1))
             .map(|_| {
                 let mut coord = loaded_coordinator_with(nodes, shards, &mut specs.iter().cloned());
+                let mut actions = Vec::new();
                 let t0 = Instant::now();
-                let actions = coord.advance(SimTime::from_secs(3700));
+                coord.advance(SimTime::from_secs(3700), &mut actions);
                 let dt = t0.elapsed().as_nanos() as u64;
                 assert!(
                     !actions.is_empty(),
@@ -950,7 +953,7 @@ pub fn admission_shed_run(seconds: u64) -> AdmissionRow {
             SendOutcome::Enqueued { .. } => row.critical_admitted += 1,
             other => panic!("critical submission not admitted: {other:?}"),
         }
-        coord.advance(now);
+        coord.advance(now, &mut Vec::new());
     }
     assert_eq!(
         row.batch_shed as u64,

@@ -398,7 +398,8 @@ impl AgentPump {
                     // SAFETY: `addr % W == index` — this worker owns the
                     // cell for the duration of the turn.
                     let agent = unsafe { &mut *cell.0.get() };
-                    let mut actions = agent.on_wake(turn.now);
+                    let mut actions = Vec::new();
+                    agent.on_wake(turn.now, &mut actions);
                     if agent.has_pending_verifications() {
                         actions.extend(agent.complete_verifications(turn.now, registry));
                     }
@@ -502,8 +503,19 @@ pub struct Platform {
     /// Set when `agent_mut` hands out raw access (timers may have changed
     /// behind the index's back); the next pump resyncs from scratch.
     wake_dirty: bool,
-    /// Reusable buffer for the due agents of one pump iteration.
+    /// Reusable buffer for the due agents of one pump pass.
     due_scratch: Vec<NodeId>,
+    /// Reusable buffers the pump's passes fill and drain: network events
+    /// from `Network::poll`, coordinator actions from
+    /// `Coordinator::advance`, and one agent's actions from
+    /// `Agent::on_wake`. Each is taken out for the duration of its drain,
+    /// so a nested route (a departure's lost flows) never sees it.
+    net_scratch: Vec<NetEvent<Payload>>,
+    coord_scratch: Vec<CoordAction>,
+    agent_scratch: Vec<Action>,
+    /// `pump` calls, and fixed-point passes made by them.
+    pump_calls: u64,
+    pump_passes: u64,
 }
 
 impl Platform {
@@ -553,6 +565,11 @@ impl Platform {
             // Resync on the first pump: agents may carry deploy-time timers.
             wake_dirty: true,
             due_scratch: Vec::new(),
+            net_scratch: Vec::new(),
+            coord_scratch: Vec::new(),
+            agent_scratch: Vec::new(),
+            pump_calls: 0,
+            pump_passes: 0,
         };
         (platform, hosts)
     }
@@ -578,6 +595,19 @@ impl Platform {
     /// The coordinator's simnet address.
     pub fn coordinator_addr(&self) -> NodeId {
         self.coordinator_addr
+    }
+
+    /// How many times [`Platform::pump`] has run: once per pump, boot
+    /// and injection event, and once per `Scenario::schedule` action.
+    pub fn pump_calls(&self) -> u64 {
+        self.pump_calls
+    }
+
+    /// Fixed-point passes those pump calls made. A call makes one pass
+    /// plus one more for each pass that left work due at the same
+    /// instant, so this stays close to [`Platform::pump_calls`].
+    pub fn pump_passes(&self) -> u64 {
+        self.pump_passes
     }
 
     /// Mean GPU utilization per host address since boot.
@@ -761,12 +791,19 @@ impl Platform {
 
     // ---- action routing -------------------------------------------------
 
-    /// Apply coordinator actions: sends become network messages after their
-    /// scheduling delay; job events are logged.
-    pub fn apply_coord_actions(&mut self, now: SimTime, actions: Vec<CoordAction>) {
+    /// Apply coordinator actions: sends become network messages at `now`;
+    /// job events are logged.
+    ///
+    /// `CoordAction::Send::delay` is not modelled here: a message leaves
+    /// the coordinator at `now` whatever database latency it carries.
+    pub fn apply_coord_actions(
+        &mut self,
+        now: SimTime,
+        actions: impl IntoIterator<Item = CoordAction>,
+    ) {
         for action in actions {
             match action {
-                CoordAction::Send { to, msg, delay } => {
+                CoordAction::Send { to, msg, .. } => {
                     // A RegisterAck is the first action naming a (possibly
                     // fresh) uid: learn its address from the directory's
                     // machine id before routing.
@@ -787,18 +824,9 @@ impl Platform {
                     };
                     let env = Envelope::new(gpunion_protocol::AuthToken::UNAUTHENTICATED, msg);
                     let size = env.wire_size();
-                    let from = self.coordinator_addr;
-                    let at = now + delay;
-                    // Model the delay by sending at `now` with the payload
-                    // carrying no extra latency when delay is zero;
-                    // otherwise the send itself is deferred via the pump
-                    // (handled by the scenario layer scheduling). For
-                    // in-Platform use we send immediately after the delay has
-                    // been accounted in the coordinator's pass timing.
-                    let _ = at;
                     let _ = self.net.send(
                         now,
-                        from,
+                        self.coordinator_addr,
                         addr,
                         size,
                         TrafficClass::Control,
@@ -813,7 +841,12 @@ impl Platform {
     }
 
     /// Apply agent actions.
-    pub fn apply_agent_actions(&mut self, now: SimTime, addr: NodeId, actions: Vec<Action>) {
+    pub fn apply_agent_actions(
+        &mut self,
+        now: SimTime,
+        addr: NodeId,
+        actions: impl IntoIterator<Item = Action>,
+    ) {
         for action in actions {
             match action {
                 Action::Send(msg) => {
@@ -910,7 +943,11 @@ impl Platform {
         self.refresh_wake(addr);
     }
 
-    fn route_net_events(&mut self, now: SimTime, events: Vec<NetEvent<Payload>>) {
+    fn route_net_events(
+        &mut self,
+        now: SimTime,
+        events: impl IntoIterator<Item = NetEvent<Payload>>,
+    ) {
         for ev in events {
             match ev {
                 NetEvent::Delivered { to, payload, .. } => match payload {
@@ -1099,12 +1136,24 @@ impl Platform {
 
     /// Advance every passive component to `sim.now()` and re-arm the wake.
     ///
-    /// Agent wakes come off the wake index: each iteration pops only the
-    /// due prefix — O(due · log n) instead of the old full O(n) scan — and
-    /// visits the due agents in ascending address order, exactly the order
-    /// the old scan produced. Agents woken *by* this iteration's processing
-    /// (a delivery arming a timer at or before `now`) re-enter the index
-    /// via `refresh_wake` and are caught by the next iteration, as before.
+    /// Each pass polls the network, runs the coordinator if it is due, and
+    /// wakes the due agents. A pass can make more work due at `now` (a
+    /// turn that leaves a timer due, a delivery that arms an agent timer
+    /// at `now`), so the loop runs another pass only while the earliest
+    /// wake of the three sources is at or before `now`. That test is
+    /// exact: after the first poll at `now` the flow table has advanced
+    /// to `now`, so its next completion is strictly later, and every
+    /// message sent since is in flight for at least the loopback latency.
+    /// A pass run with every wake in the future would change nothing. The
+    /// same earliest wake re-arms the pump.
+    ///
+    /// Agent wakes come off the wake index: each pass pops only the due
+    /// prefix — O(due · log n) instead of a full O(n) scan — and visits
+    /// the due agents in ascending address order.
+    ///
+    /// Network events, coordinator actions and agent actions go through
+    /// reusable scratch buffers, so a warm pass allocates only where a
+    /// component builds a message.
     ///
     /// At `pump_workers ≥ 1` the due agents are stepped on the agent
     /// pump's worker pool instead (partitioned by `addr % W`),
@@ -1116,22 +1165,18 @@ impl Platform {
             self.resync_wakes();
         }
         let now = sim.now();
-        loop {
-            let mut progressed = false;
-            let events = self.net.poll(now);
-            if !events.is_empty() {
-                self.route_net_events(now, events);
-                progressed = true;
-            }
-            if self
-                .coordinator
-                .next_wake()
-                .map(|t| t <= now)
-                .unwrap_or(false)
-            {
-                let actions = self.coordinator.advance(now);
-                self.apply_coord_actions(now, actions);
-                progressed = true;
+        self.pump_calls += 1;
+        let next = loop {
+            self.pump_passes += 1;
+            let mut events = std::mem::take(&mut self.net_scratch);
+            self.net.poll(now, &mut events);
+            self.route_net_events(now, events.drain(..));
+            self.net_scratch = events;
+            if self.coordinator.next_wake().is_some_and(|t| t <= now) {
+                let mut actions = std::mem::take(&mut self.coord_scratch);
+                self.coordinator.advance(now, &mut actions);
+                self.apply_coord_actions(now, actions.drain(..));
+                self.coord_scratch = actions;
             }
             let mut due = std::mem::take(&mut self.due_scratch);
             due.clear();
@@ -1143,11 +1188,10 @@ impl Platform {
                 self.wake_cache.remove(&addr);
                 due.push(addr);
             }
-            // The index orders by (time, addr); the old scan woke due agents
-            // in pure address order. Restore that order.
+            // The index orders by (time, addr); agents wake in pure
+            // address order.
             due.sort_unstable();
             if !due.is_empty() {
-                progressed = true;
                 match self.pump.take() {
                     // Parallel phase: scatter the due list, join, then
                     // apply the batches serially in ascending-address
@@ -1163,39 +1207,48 @@ impl Platform {
                     // Inline degenerate path (`pump_workers = 0`): the
                     // exact serial code, byte-stable goldens.
                     None => {
+                        let mut actions = std::mem::take(&mut self.agent_scratch);
                         for &addr in &due {
                             let agent = self
                                 .agents
                                 .get_mut(&addr)
                                 .expect("indexed agents exist")
                                 .get_mut();
-                            let mut actions = agent.on_wake(now);
+                            agent.on_wake(now, &mut actions);
                             if agent.has_pending_verifications() {
                                 actions.extend(agent.complete_verifications(now, &self.registry));
                             }
-                            self.apply_agent_actions(now, addr, actions);
+                            self.apply_agent_actions(now, addr, actions.drain(..));
                         }
+                        self.agent_scratch = actions;
                     }
                 }
             }
             self.due_scratch = due;
-            if !progressed {
-                break;
-            }
-        }
-        self.arm_pump(sim);
-    }
-
-    fn arm_pump(&mut self, sim: &mut PlatformSim) {
-        let mut next = self.net.next_event_at();
-        let mut fold = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                next = Some(next.map_or(t, |n: SimTime| n.min(t)));
+            let next = self.next_wake();
+            if next.is_none_or(|t| t > now) {
+                break next;
             }
         };
-        fold(self.coordinator.next_wake());
-        // The earliest agent wake is the index head — no per-agent scan.
-        fold(self.wake_index.first().map(|&(t, _)| t));
+        self.arm_pump(sim, next);
+    }
+
+    /// The earliest wake of the network, the coordinator and the agents
+    /// (the wake index head — no per-agent scan).
+    fn next_wake(&self) -> Option<SimTime> {
+        [
+            self.net.next_event_at(),
+            self.coordinator.next_wake(),
+            self.wake_index.first().map(|&(t, _)| t),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+    }
+
+    /// Schedule the pump at `next` unless an earlier or equal wake is
+    /// already pending.
+    fn arm_pump(&mut self, sim: &mut PlatformSim, next: Option<SimTime>) {
         let Some(at) = next else {
             return;
         };
@@ -1241,6 +1294,7 @@ pub fn pump_storm_run(nodes: usize, turns: usize, pump_workers: usize) -> (f64, 
     let fold = |acc: u64, v: u64| (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3);
     let mut checksum = 0xcbf2_9ce4_8422_2325u64;
     let mut now = SimTime::from_secs(125);
+    let mut actions = Vec::new();
     let t0 = std::time::Instant::now();
     for _ in 0..turns {
         match pump.as_mut() {
@@ -1259,7 +1313,8 @@ pub fn pump_storm_run(nodes: usize, turns: usize, pump_workers: usize) -> (f64, 
                         .get_mut(&addr)
                         .expect("deployed agents exist")
                         .get_mut();
-                    let mut actions = agent.on_wake(now);
+                    actions.clear();
+                    agent.on_wake(now, &mut actions);
                     if agent.has_pending_verifications() {
                         actions.extend(agent.complete_verifications(now, &world.registry));
                     }
@@ -1276,9 +1331,10 @@ pub fn pump_storm_run(nodes: usize, turns: usize, pump_workers: usize) -> (f64, 
 
 #[cfg(test)]
 mod tests {
-    //! Allocation discipline of the warm parallel pump turn, measured on
-    //! the coordinator (calling) thread with the per-thread counting
-    //! allocator idiom from `des/tests/alloc.rs`. Worker threads allocate
+    //! Allocation discipline of the warm pump, measured on the calling
+    //! thread with the per-thread counting allocator idiom from
+    //! `des/tests/alloc.rs`. Inline, a heartbeat period may allocate only
+    //! for the messages it builds. In parallel, worker threads allocate
     //! their own action buffers; the machinery the coordinator runs —
     //! lane clears, inbox sends, the join spin, the batch drain — must be
     //! allocation-free once warm.
@@ -1316,6 +1372,45 @@ mod tests {
 
     #[global_allocator]
     static A: CountingAlloc = CountingAlloc;
+
+    /// The exact allocation count of a warm, heartbeating 8-workstation
+    /// fleet over `K` heartbeat periods on the inline pump. Every beat
+    /// crosses the network twice (heartbeat in, ack out) and writes the
+    /// database once; what is left is the messages and rows themselves.
+    /// Scratch buffers for network events, coordinator actions and agent
+    /// actions, and the cached heartbeat counter, keep the pump's own
+    /// plumbing off the allocator, so a change that allocates per event
+    /// again moves this count.
+    #[test]
+    fn warm_heartbeat_periods_allocation_budget() {
+        const K: u64 = 6;
+        let specs: Vec<ServerSpec> = (0..8)
+            .map(|i| ServerSpec::workstation(format!("ws-{i}"), GpuModel::Rtx3090))
+            .collect();
+        // Everything on this thread: directory shard actors on worker
+        // threads would move allocations off the counted thread.
+        let mut config = PlatformConfig {
+            pump_workers: 0,
+            ..PlatformConfig::default()
+        };
+        config.coordinator.worker_threads = 0;
+        let (mut world, _) = Platform::deploy(&config, &specs);
+        let mut sim = PlatformSim::new();
+        Platform::boot(&mut world, &mut sim);
+        let warm = SimTime::from_secs(120);
+        sim.run_until(&mut world, warm);
+        let calls = world.pump_calls();
+        let before = allocations();
+        sim.run_until(&mut world, warm + config.coordinator.heartbeat_period * K);
+        let allocated = allocations() - before;
+        let calls = world.pump_calls() - calls;
+        // 48 beats in 198 pump calls: about three allocations a beat, for
+        // the heartbeat and ack envelopes and what they carry.
+        assert_eq!(
+            allocated, 156,
+            "{allocated} allocations over {calls} pump calls"
+        );
+    }
 
     /// Warm parallel pump turns touch the allocator zero times on the
     /// coordinator thread: lane batch buffers, per-worker inbox queues,

@@ -732,8 +732,10 @@ impl Coordinator {
     /// stays at the inbox head (FIFO order preserved) or the timer is
     /// re-armed at the next write completion — rather than over-filling
     /// the queue. Deferred work retries as completions free slots.
-    pub fn advance(&mut self, now: SimTime) -> Vec<CoordAction> {
-        let mut actions = Vec::new();
+    ///
+    /// The turns' actions are appended to `actions`, a buffer the caller
+    /// owns and reuses across calls.
+    pub fn advance(&mut self, now: SimTime, actions: &mut Vec<CoordAction>) {
         loop {
             // Re-applied every turn: a turn may submit writes whose service
             // lands within this same instant, and deferral target times
@@ -766,7 +768,7 @@ impl Coordinator {
                     let q = self.inbox.pop_front().expect("just peeked");
                     self.inbox_sojourn
                         .record(now.since(q.enqueued).as_secs_f64());
-                    self.process_envelope(now, q.env, &mut actions);
+                    self.process_envelope(now, q.env, actions);
                 }
                 _ => {
                     let (&key, _) = self
@@ -783,11 +785,10 @@ impl Coordinator {
                         self.arm(retry.max(now), timer);
                         continue;
                     }
-                    self.fire_timer(now, timer, &mut actions);
+                    self.fire_timer(now, timer, actions);
                 }
             }
         }
-        actions
     }
 
     fn process_envelope(

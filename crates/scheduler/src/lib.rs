@@ -65,7 +65,14 @@ mod tests {
     /// actor merges envelopes and timer wakes in time order.
     fn msg(coord: &mut Coordinator, now: SimTime, m: Message) -> Vec<CoordAction> {
         coord.send(now, CoordEnvelope::Msg(Box::new(m)));
-        coord.advance(now)
+        advance(coord, now)
+    }
+
+    /// Run the actor's turns at `now` and collect their actions.
+    fn advance(coord: &mut Coordinator, now: SimTime) -> Vec<CoordAction> {
+        let mut actions = Vec::new();
+        coord.advance(now, &mut actions);
+        actions
     }
 
     /// Enqueue a job submission and run its turn; returns the assigned id
@@ -79,7 +86,7 @@ mod tests {
         let SendOutcome::Enqueued { job: Some(job) } = outcome else {
             panic!("job submissions are never shed: {outcome:?}");
         };
-        (job, coord.advance(now))
+        (job, advance(coord, now))
     }
 
     fn register(coord: &mut Coordinator, now: SimTime, machine: &str) -> NodeUid {
@@ -140,7 +147,7 @@ mod tests {
             if at > until {
                 break;
             }
-            out.extend(coord.advance(at));
+            coord.advance(at, &mut out);
         }
         out
     }
@@ -455,7 +462,7 @@ mod tests {
         );
         // Home node dies; job migrates to the other node.
         coord.send(t(10), CoordEnvelope::NodeDeparture(home));
-        let mut actions = coord.advance(t(10));
+        let mut actions = advance(&mut coord, t(10));
         let other = if home == n1 { n2 } else { n1 };
         actions.extend(heartbeat(&mut coord, t(11), other, 2));
         actions.extend(drive(&mut coord, t(12)));
@@ -591,7 +598,7 @@ mod tests {
             .into(),
         );
         coord.send(t(2), CoordEnvelope::Net(Box::new(env)));
-        let actions = coord.advance(t(2));
+        let actions = advance(&mut coord, t(2));
         assert!(actions.iter().any(|a| matches!(
             a,
             CoordAction::Send {
@@ -662,7 +669,7 @@ mod tests {
         // write-latency later, so the job is still queued).
         let (j1, _) = submit(&mut coord, t(3), spec());
         coord.send(t(3), CoordEnvelope::CancelJob(j1));
-        let actions = coord.advance(t(3));
+        let actions = advance(&mut coord, t(3));
         assert!(actions.is_empty(), "pending job cancels without messages");
         // Running cancel.
         let (j2, _) = submit(&mut coord, t(5), spec());
@@ -678,7 +685,7 @@ mod tests {
             .into(),
         );
         coord.send(t(8), CoordEnvelope::CancelJob(j2));
-        let actions = coord.advance(t(8));
+        let actions = advance(&mut coord, t(8));
         assert!(actions.iter().any(|a| matches!(
             a,
             CoordAction::Send {
@@ -774,7 +781,7 @@ mod tests {
         drive(&mut coord, t(11));
         // Home dies: job_a displaced, queued BEHIND the backlog job.
         coord.send(t(12), CoordEnvelope::NodeDeparture(home));
-        coord.advance(t(12));
+        advance(&mut coord, t(12));
         // Let the requeue write apply (both nodes are full, so the armed
         // pass places nothing).
         drive(&mut coord, t(13));
@@ -847,7 +854,7 @@ mod tests {
         // The hosting node dies; the once-rejecting node is the only one
         // left and must be offered the displaced job.
         coord.send(t(10), CoordEnvelope::NodeDeparture(second));
-        let mut actions = coord.advance(t(10));
+        let mut actions = advance(&mut coord, t(10));
         actions.extend(heartbeat(&mut coord, t(11), first, 2));
         actions.extend(drive(&mut coord, t(12)));
         let (target, j) = find_dispatch(&actions).expect("re-dispatch after displacement");
@@ -899,7 +906,7 @@ mod tests {
         assert_eq!(coord.stats().over_bound_envelopes, 1);
         assert_eq!(coord.stats().inbox_depth, 3);
         // Draining empties the inbox; the submission survived.
-        coord.advance(t(1));
+        advance(&mut coord, t(1));
         assert_eq!(coord.stats().inbox_depth, 0);
         assert_eq!(coord.stats().live_jobs, 1);
     }
@@ -925,7 +932,7 @@ mod tests {
             };
             jobs.push(j);
         }
-        coord.advance(t(3));
+        advance(&mut coord, t(3));
         assert!(
             coord.stats().inbox_depth > 0,
             "the burst cannot be admitted in one turn against a 4-deep queue"
@@ -972,7 +979,7 @@ mod tests {
         );
         let node = register(&mut coord, t(1), "m-1");
         coord.send(t(2), CoordEnvelope::NodeDeparture(node));
-        coord.advance(t(2));
+        advance(&mut coord, t(2));
         // Fill the inbox to its bound with a critical envelope.
         coord.send(t(3), CoordEnvelope::SubmitJob(Box::new(spec())));
         assert_eq!(coord.stats().inbox_depth, 1);
@@ -1020,7 +1027,7 @@ mod tests {
                                  // Node loss marks it Offline; the SetNodeState(Unavailable) write
                                  // fills the 1-deep queue.
         coord.send(t(3), CoordEnvelope::NodeDeparture(node));
-        coord.advance(t(3));
+        advance(&mut coord, t(3));
         assert!(coord.db_actor().would_block());
         let over_before = coord.db_actor().over_bound_writes();
         coord.send(
@@ -1036,7 +1043,7 @@ mod tests {
                 .into(),
             )),
         );
-        let actions = coord.advance(t(3));
+        let actions = advance(&mut coord, t(3));
         assert!(actions.is_empty(), "reviving turn deferred, no ack yet");
         assert_eq!(coord.stats().inbox_depth, 1, "heartbeat waits at the head");
         assert!(coord.stats().deferred_turns > 0);
@@ -1460,7 +1467,7 @@ mod tests {
             let mut horizon = SimTime::ZERO;
             for (at, env) in turn_events(&ops) {
                 one_by_one.send(at, env);
-                log_a.extend(one_by_one.advance(at));
+                one_by_one.advance(at, &mut log_a);
                 horizon = at;
             }
             // Style B: batch every same-instant group, one advance each.
@@ -1471,7 +1478,7 @@ mod tests {
                     let (bt, env) = it.next().expect("just peeked");
                     batched.send(bt, env);
                 }
-                log_b.extend(batched.advance(at));
+                batched.advance(at, &mut log_b);
             }
             // Settle both worlds identically (in-flight writes, passes,
             // offer timeouts) before comparing.
@@ -1511,12 +1518,12 @@ mod tests {
             let mut horizon = SimTime::ZERO;
             for (at, env) in turn_events(&ops) {
                 reference.send(at, env);
-                log_a.extend(reference.advance(at));
+                reference.advance(at, &mut log_a);
                 horizon = at;
             }
             for (at, env) in turn_events(&ops) {
                 sharded.send(at, env);
-                log_b.extend(sharded.advance(at));
+                sharded.advance(at, &mut log_b);
             }
             let end = horizon + SimDuration::from_secs(60);
             log_a.extend(drive(&mut reference, end));
@@ -1556,7 +1563,7 @@ mod tests {
                 let mut horizon = SimTime::ZERO;
                 for (at, env) in turn_events(&ops) {
                     coord.send(at, env);
-                    log.extend(coord.advance(at));
+                    coord.advance(at, &mut log);
                     horizon = at;
                 }
                 log.extend(drive(&mut coord, horizon + SimDuration::from_secs(60)));

@@ -114,7 +114,7 @@ mod proptests {
                 2, Bandwidth::gbps(1.0), Bandwidth::gbps(10.0), SimDuration::ZERO);
             let mut net: Network<u32> = Network::new(topo, Bandwidth::gbps(16.0), 1);
             let id = net.start_flow(SimTime::ZERO, hosts[0], coord, bytes, TrafficClass::Checkpoint, 0).unwrap();
-            let _ = net.poll(SimTime::from_secs(secs));
+            net.poll(SimTime::from_secs(secs), &mut Vec::new());
             let acct_bytes = net.accounting().class_total(TrafficClass::Checkpoint);
             let path_len = 2.0; // host→switch→coord
             match net.flow_progress(id) {

@@ -69,17 +69,15 @@ impl<M> MessageQueue<M> {
         self.pending.keys().next().map(|(t, _)| *t)
     }
 
-    /// Remove and return all messages due at or before `now`, in time order.
-    pub fn drain_due(&mut self, now: SimTime) -> Vec<Delivery<M>> {
-        let mut due = Vec::new();
-        while let Some((&(t, s), _)) = self.pending.first_key_value() {
-            if t > now {
-                break;
-            }
-            let d = self.pending.remove(&(t, s)).expect("just observed");
-            due.push(d);
+    /// Remove and return the earliest message if it is due at or before
+    /// `now`. Calling it until `None` yields the due messages in time
+    /// order without collecting them anywhere.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<Delivery<M>> {
+        let head = self.pending.first_entry()?;
+        if head.key().0 > now {
+            return None;
         }
-        due
+        Some(head.remove())
     }
 
     /// Drop every in-flight message to or from `node` (the node went down
@@ -94,6 +92,12 @@ impl<M> MessageQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn drain(q: &mut MessageQueue<&'static str>, now: SimTime) -> Vec<&'static str> {
+        std::iter::from_fn(|| q.pop_due(now))
+            .map(|m| m.payload)
+            .collect()
+    }
 
     fn d(from: u32, to: u32, tag: &'static str) -> Delivery<&'static str> {
         Delivery {
@@ -113,19 +117,15 @@ mod tests {
         q.enqueue(SimTime::from_secs(3), d(0, 1, "c"));
         assert_eq!(q.next_at(), Some(SimTime::from_secs(1)));
 
-        let due = q.drain_due(SimTime::from_secs(2));
-        assert_eq!(
-            due.iter().map(|m| m.payload).collect::<Vec<_>>(),
-            vec!["a", "a2", "b"]
-        );
+        assert_eq!(drain(&mut q, SimTime::from_secs(2)), vec!["a", "a2", "b"]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.next_at(), Some(SimTime::from_secs(3)));
     }
 
     #[test]
     fn drain_when_empty() {
-        let mut q: MessageQueue<()> = MessageQueue::new();
-        assert!(q.drain_due(SimTime::MAX).is_empty());
+        let mut q = MessageQueue::new();
+        assert!(drain(&mut q, SimTime::MAX).is_empty());
         assert_eq!(q.next_at(), None);
     }
 
@@ -138,6 +138,6 @@ mod tests {
         let dropped = q.drop_involving(NodeId(1));
         assert_eq!(dropped, 2);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.drain_due(SimTime::MAX)[0].payload, "keep");
+        assert_eq!(drain(&mut q, SimTime::MAX), vec!["keep"]);
     }
 }

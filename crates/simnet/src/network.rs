@@ -284,15 +284,16 @@ impl<M> Network<M> {
         }
     }
 
-    /// Advance internal state to `now` and return everything that happened:
-    /// message deliveries (to still-up nodes) and flow completions.
-    pub fn poll(&mut self, now: SimTime) -> Vec<NetEvent<M>> {
-        let mut events = Vec::new();
+    /// Advance internal state to `now` and append everything that happened
+    /// to `events`: flow completions, then message deliveries (to
+    /// still-up nodes) in time order. The caller owns and reuses the
+    /// buffer, so a warm poll that only delivers messages allocates nothing.
+    pub fn poll(&mut self, now: SimTime, events: &mut Vec<NetEvent<M>>) {
         for end in self.flows.advance(now, &mut self.accounting) {
             events.push(self.flow_end_event(end));
         }
         self.flows.reallocate(&self.topo);
-        for d in self.msgs.drain_due(now) {
+        while let Some(d) = self.msgs.pop_due(now) {
             if self.topo.node_up(d.to) {
                 events.push(NetEvent::Delivered {
                     from: d.from,
@@ -303,7 +304,6 @@ impl<M> Network<M> {
                 self.messages_dropped += 1;
             }
         }
-        events
     }
 }
 
@@ -311,6 +311,12 @@ impl<M> Network<M> {
 mod tests {
     use super::*;
     use crate::topology::star_campus;
+
+    fn poll(net: &mut Network<&'static str>, now: SimTime) -> Vec<NetEvent<&'static str>> {
+        let mut events = Vec::new();
+        net.poll(now, &mut events);
+        events
+    }
 
     fn campus(n: usize) -> (Network<&'static str>, Vec<NodeId>, NodeId) {
         let (topo, hosts, coord, _) = star_campus(
@@ -338,7 +344,7 @@ mod tests {
         // Two hops: 2×50 µs propagation + 2×(200 B / capacity) transmission.
         assert!(at > SimTime::from_nanos(100_000), "{at}");
         assert!(at < SimTime::from_nanos(120_000), "{at}");
-        let evs = net.poll(at);
+        let evs = poll(&mut net, at);
         assert_eq!(evs.len(), 1);
         match &evs[0] {
             NetEvent::Delivered { from, to, payload } => {
@@ -364,7 +370,7 @@ mod tests {
         .unwrap();
         let at = net.next_event_at().unwrap();
         assert_eq!(at, SimTime::ZERO + LOOPBACK_LATENCY);
-        assert_eq!(net.poll(at).len(), 1);
+        assert_eq!(poll(&mut net, at).len(), 1);
     }
 
     #[test]
@@ -409,7 +415,7 @@ mod tests {
         .unwrap();
         // Node dies before delivery.
         net.set_node_up(SimTime::from_nanos(1), hosts[0], false);
-        let evs = net.poll(SimTime::from_secs(1));
+        let evs = poll(&mut net, SimTime::from_secs(1));
         assert!(evs.is_empty());
         assert_eq!(net.messages_dropped(), 1);
     }
@@ -429,7 +435,7 @@ mod tests {
             .unwrap();
         let at = net.next_event_at().unwrap();
         assert!((at.as_secs_f64() - 1.0).abs() < 0.01, "{at}");
-        let evs = net.poll(at);
+        let evs = poll(&mut net, at);
         assert_eq!(evs.len(), 1);
         match &evs[0] {
             NetEvent::FlowEnded {
@@ -507,7 +513,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(net.poll(SimTime::from_secs(1)).is_empty());
+        assert!(poll(&mut net, SimTime::from_secs(1)).is_empty());
         assert_eq!(net.messages_dropped(), 10);
         assert_eq!(net.messages_sent(), 10);
     }
@@ -527,7 +533,7 @@ mod tests {
             )
             .unwrap();
         }
-        let delivered = net.poll(SimTime::from_secs(1)).len();
+        let delivered = poll(&mut net, SimTime::from_secs(1)).len();
         // Two lossy hops at 30 % each ⇒ ~49 % delivery. Allow wide margin.
         assert!(delivered > 60 && delivered < 140, "delivered {delivered}");
     }
@@ -551,7 +557,7 @@ mod tests {
         }
         let at = net.next_event_at().unwrap();
         assert!((at.as_secs_f64() - 1.0).abs() < 0.01, "{at}");
-        let evs = net.poll(at);
+        let evs = poll(&mut net, at);
         assert_eq!(evs.len(), 4, "all four finish together");
     }
 }

@@ -4,13 +4,15 @@
 //! `Accounting::record_instant` per hop. Once a route is cached and a
 //! minute's bucket exists, neither may touch the heap: a route hit shares
 //! the cached path, and a record into an existing bucket is an indexed
-//! add. This test pins both with a counting global allocator (same idiom
-//! as `des/tests/alloc.rs`). The counter is **per thread**, so the libtest
+//! add. Delivery is the other half: `Network::poll` pops due messages
+//! straight into the caller's event buffer, so a warm poll allocates
+//! nothing either. These tests pin all three with a counting global
+//! allocator (same idiom as `des/tests/alloc.rs`). The counter is **per thread**, so the libtest
 //! harness's own bookkeeping on other threads never lands in a measured
 //! window.
 
 use gpunion_des::{SimDuration, SimTime};
-use gpunion_simnet::{star_campus, Accounting, Bandwidth, LinkId, TrafficClass};
+use gpunion_simnet::{star_campus, Accounting, Bandwidth, LinkId, Network, TrafficClass};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -110,4 +112,42 @@ fn record_into_existing_bucket_does_not_allocate() {
         after - before
     );
     assert_eq!(acct.total_bytes(), 15.0 * 1_001.0);
+}
+
+#[test]
+fn warm_poll_into_reused_buffer_does_not_allocate() {
+    let (topo, hosts, coord, _) = star_campus(
+        8,
+        Bandwidth::gbps(1.0),
+        Bandwidth::gbps(10.0),
+        SimDuration::from_micros(50),
+    );
+    let mut net: Network<u64> = Network::new(topo, Bandwidth::gbps(16.0), 7);
+    let mut events = Vec::new();
+    let mut now = SimTime::ZERO;
+    let mut delivered = 0;
+    let mut measured = 0;
+    // A heartbeat round per second: every host reports to the coordinator
+    // and the round lands in one poll. The first half warms the route
+    // cache, the minute buckets and the event buffer's capacity.
+    for round in 0..200u64 {
+        for &h in &hosts {
+            net.send(now, h, coord, 200, TrafficClass::Control, round)
+                .expect("coordinator reachable");
+        }
+        let at = net.next_event_at().expect("messages in flight");
+        let before = allocations();
+        net.poll(at, &mut events);
+        if round >= 100 {
+            measured += allocations() - before;
+        }
+        delivered += events.len();
+        events.clear();
+        now = at + SimDuration::from_secs(1);
+    }
+    assert_eq!(
+        measured, 0,
+        "warm polls allocated {measured} times over 100 delivering calls"
+    );
+    assert_eq!(delivered, 200 * hosts.len());
 }
